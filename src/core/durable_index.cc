@@ -122,17 +122,16 @@ Status DurableIndex::Insert(const Object& object) {
   {
     WriterLock lock(&mutex_);
     // Enforce before logging what the inner indexes only assume: strictly
-    // increasing ids (Section 5.5) and a well-formed interval (an inverted
-    // one would be flagged as corruption by the log decoder).
+    // increasing ids (Section 5.5) and the object validity rule the log
+    // decoder applies (a record it rejects would read as a torn tail and
+    // take every later, acknowledged record with it).
     if (object.id < next_object_id_) {
       return Status::AlreadyExists(
           "object id " + std::to_string(object.id) +
           " is below the insert watermark " +
           std::to_string(next_object_id_) + " (ids must strictly increase)");
     }
-    if (object.interval.st > object.interval.end) {
-      return Status::InvalidArgument("interval start exceeds end");
-    }
+    IRHINT_RETURN_NOT_OK(ValidateObject(object));
     auto lsn = writer_->AppendInsert(object);
     IRHINT_RETURN_NOT_OK(lsn.status());
     // The id is burned from here on, even if the apply fails — replay
@@ -164,9 +163,7 @@ Status DurableIndex::Erase(const Object& object) {
       return Status::NotFound("object id " + std::to_string(object.id) +
                               " was never inserted");
     }
-    if (object.interval.st > object.interval.end) {
-      return Status::InvalidArgument("interval start exceeds end");
-    }
+    IRHINT_RETURN_NOT_OK(ValidateObject(object));
     auto lsn = writer_->AppendErase(object);
     IRHINT_RETURN_NOT_OK(lsn.status());
     IRHINT_RETURN_NOT_OK(inner_->Erase(object));

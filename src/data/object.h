@@ -6,7 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
+
+#include "common/status.h"
 
 namespace irhint {
 
@@ -16,12 +19,12 @@ using ObjectId = uint32_t;
 /// \brief Identifier of a descriptive element in the global dictionary D.
 using ElementId = uint32_t;
 
-/// \brief Exclusive upper bound on element ids accepted from decode
-/// boundaries (WAL records, snapshots). Dictionary ids are dense, so the
-/// per-element frequency tables are allocated out to the largest id seen;
-/// without a ceiling, one hostile id in an otherwise CRC-valid record
-/// forces a multi-gigabyte resize. 2^28 elements (a 2 GiB table) is far
-/// beyond any real dictionary.
+/// \brief Exclusive upper bound on element ids accepted at every ingress
+/// (ValidateObject) and decode boundary (WAL records, snapshots).
+/// Dictionary ids are dense, so the per-element frequency tables are
+/// allocated out to the largest id seen; without a ceiling, one hostile id
+/// in an otherwise CRC-valid record forces a multi-gigabyte resize. 2^28
+/// elements (a 2 GiB table) is far beyond any real dictionary.
 inline constexpr ElementId kElementIdLimit = 1u << 28;
 
 /// \brief A discrete time point. The raw (application) domain can be any
@@ -100,6 +103,28 @@ struct Query {
   Query(Interval iv, std::vector<ElementId> elems)
       : interval(iv), elements(std::move(elems)) {}
 };
+
+/// \brief The one validity rule for an object's lifespan and description,
+/// applied where objects enter (line protocol, engine, DurableIndex before
+/// it logs) and where they are read back (WAL replay), so the log never
+/// holds a record its own reader rejects. Queries obey the same rule.
+inline Status ValidateObject(const Interval& interval,
+                             const std::vector<ElementId>& elements) {
+  if (interval.st > interval.end) {
+    return Status::InvalidArgument("interval start exceeds end");
+  }
+  for (const ElementId e : elements) {
+    if (e >= kElementIdLimit) {
+      return Status::InvalidArgument("element id " + std::to_string(e) +
+                                     " is out of range");
+    }
+  }
+  return Status::OK();
+}
+
+inline Status ValidateObject(const Object& object) {
+  return ValidateObject(object.interval, object.elements);
+}
 
 inline bool Object::ContainsElement(ElementId e) const {
   // Descriptions are short on average; binary search over the sorted vector.

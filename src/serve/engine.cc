@@ -306,6 +306,7 @@ Status ServeEngine::RunUpdate(bool erase, const Object& object) {
 }
 
 Status ServeEngine::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (object.id < next_object_id_.load(std::memory_order_relaxed)) {
     return Status::InvalidArgument(
         "insert ids must strictly increase (single-writer model)");
@@ -328,6 +329,7 @@ StatusOr<ObjectId> ServeEngine::AppendInsert(
 }
 
 Status ServeEngine::Erase(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   return RunUpdate(/*erase=*/true, object);
 }
 

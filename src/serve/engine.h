@@ -10,9 +10,9 @@
 // elements e (so any single query element locates every matching object).
 // A query fans out only to the time shards overlapping its interval, and
 // within each to the bucket of its first element (all buckets for
-// element-less queries). The future merges per-shard ids deterministically
-// (sort + dedup), so results are byte-identical to a 1-shard engine for
-// any shard/bucket/thread count.
+// element-less queries). Shards report sorted, duplicate-free legs and the
+// future merges them with a linear sorted union, so results are
+// byte-identical to a 1-shard engine for any shard/bucket/thread count.
 //
 // Updates: Insert/Erase route to the same shard set as placement and ride
 // the per-shard queues (the worker is the only thread touching its index,

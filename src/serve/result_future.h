@@ -2,21 +2,24 @@
 // workers. A routed request owns one ResultState with one "leg" per
 // target shard; legs complete (or fail) in any order on the shard worker
 // threads, and the submitting client blocks in ResultFuture::Get() until
-// every leg has landed. The merge is deterministic: per-leg id vectors
-// are concatenated, sorted and deduplicated, so the final result is
-// byte-identical for any shard count, bucket count, thread count or
+// every leg has landed. Each Boolean leg arrives sorted and
+// duplicate-free (serve/shard.h), so the merge is deterministic and
+// sort-free: a single leg is returned as is, several are folded with a
+// linear sorted union that drops cross-shard replicas. The final result
+// is byte-identical for any shard count, bucket count, thread count or
 // completion order (the property tests/serve_test.cc locks in).
 //
 // Concurrency (DESIGN.md §11): one leaf Mutex per state object,
 // "serve::ResultState::mu" — it is never held while acquiring another
-// lock (completion copies the payload in, Get() moves it out), so it
-// cannot participate in a cycle.
+// lock (completion moves the payload in, Wait() moves the legs out and
+// merges with the lock released), so it cannot participate in a cycle.
 
 #ifndef IRHINT_SERVE_RESULT_FUTURE_H_
 #define IRHINT_SERVE_RESULT_FUTURE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -41,8 +44,9 @@ class ResultState {
   ResultState(const ResultState&) = delete;
   ResultState& operator=(const ResultState&) = delete;
 
-  /// \brief Resolve one leg with the ids a shard reported (global ids;
-  /// replicas across shards are deduplicated by the final merge).
+  /// \brief Resolve one leg with the ids a shard reported: global ids,
+  /// sorted and duplicate-free (replicas across shards are deduplicated
+  /// by the final merge).
   void CompleteLeg(std::vector<ObjectId> ids) {
     MutexLock lock(&mu_);
     legs_.push_back(std::move(ids));
@@ -61,19 +65,23 @@ class ResultState {
   /// \brief Block until every leg resolved; single consumer. Returns the
   /// first leg failure, or the merged (sorted, duplicate-free) ids.
   StatusOr<std::vector<ObjectId>> Wait() {
-    MutexLock lock(&mu_);
-    while (pending_ > 0) cv_.Wait(&mu_);
-    if (!error_.ok()) return error_;
-    size_t total = 0;
-    for (const std::vector<ObjectId>& leg : legs_) total += leg.size();
-    std::vector<ObjectId> merged;
-    merged.reserve(total);
-    for (std::vector<ObjectId>& leg : legs_) {
-      merged.insert(merged.end(), leg.begin(), leg.end());
+    std::vector<std::vector<ObjectId>> legs;
+    {
+      MutexLock lock(&mu_);
+      while (pending_ > 0) cv_.Wait(&mu_);
+      if (!error_.ok()) return error_;
+      legs.swap(legs_);
     }
-    legs_.clear();
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    if (legs.empty()) return std::vector<ObjectId>();
+    std::vector<ObjectId> merged = std::move(legs[0]);
+    std::vector<ObjectId> scratch;
+    for (size_t i = 1; i < legs.size(); ++i) {
+      scratch.clear();
+      scratch.reserve(merged.size() + legs[i].size());
+      std::set_union(merged.begin(), merged.end(), legs[i].begin(),
+                     legs[i].end(), std::back_inserter(scratch));
+      merged.swap(scratch);
+    }
     return merged;
   }
 

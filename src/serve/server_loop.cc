@@ -1,7 +1,10 @@
 #include "serve/server_loop.h"
 
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace irhint {
@@ -9,15 +12,78 @@ namespace serve {
 
 namespace {
 
-bool ReadTime(std::istringstream& in, Time* out) {
-  return static_cast<bool>(in >> *out);
+/// The line's whitespace-separated tokens (the same separators as
+/// `std::istream >>`, so a CRLF line parses like an LF one).
+std::vector<std::string_view> SplitTokens(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::vector<std::string_view> tokens;
+  size_t pos = line.find_first_not_of(kSpace);
+  while (pos != std::string_view::npos) {
+    const size_t end = std::min(line.find_first_of(kSpace, pos), line.size());
+    tokens.push_back(line.substr(pos, end - pos));
+    pos = line.find_first_not_of(kSpace, end);
+  }
+  return tokens;
 }
 
-std::vector<ElementId> ReadElements(std::istringstream& in) {
-  std::vector<ElementId> elements;
-  ElementId element = 0;
-  while (in >> element) elements.push_back(element);
-  return elements;
+/// An unsigned decimal filling the whole token: no sign, no trailing
+/// characters, no overflow.
+template <typename T>
+bool ParseNumber(std::string_view token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parses `[lead ...] <st> <end> [elem ...]` from tokens[1..]: one number
+/// per `leading` pointer, then the interval and elements. A missing or
+/// non-numeric token, or an interval/description that fails
+/// ValidateObject, is an error.
+template <typename... Leading>
+Status ParseRequest(const std::vector<std::string_view>& tokens,
+                    const char* usage, Interval* interval,
+                    std::vector<ElementId>* elements, Leading*... leading) {
+  constexpr size_t kFixed = sizeof...(Leading) + 2;
+  if (tokens.size() < 1 + kFixed) {
+    return Status::InvalidArgument(std::string(tokens[0]) + " needs " +
+                                   usage);
+  }
+  size_t next = 1;
+  const auto parse = [&](auto* field) {
+    return ParseNumber(tokens[next++], field);
+  };
+  bool numeric = (parse(leading) && ...) && parse(&interval->st) &&
+                 parse(&interval->end);
+  elements->resize(tokens.size() - 1 - kFixed);
+  for (size_t e = 0; numeric && e < elements->size(); ++e) {
+    numeric = parse(&(*elements)[e]);
+  }
+  if (!numeric) {
+    return Status::InvalidArgument(std::string(tokens[0]) +
+                                   " takes unsigned integers: " + usage);
+  }
+  return ValidateObject(*interval, *elements);
+}
+
+/// Writes "OK <n> <id> ...\n". The digits go straight into `buffer`, sized
+/// for the widest numbers, and leave in one write: a wide result is
+/// thousands of ids, and per-id stream formatting cost more than the
+/// engine took to find them.
+void WriteIdsReply(const std::vector<ObjectId>& ids, std::string* buffer,
+                   std::ostream& out) {
+  constexpr size_t kCountDigits = std::numeric_limits<size_t>::digits10 + 1;
+  constexpr size_t kIdDigits = std::numeric_limits<ObjectId>::digits10 + 1;
+  buffer->resize(3 + kCountDigits + ids.size() * (1 + kIdDigits) + 1);
+  char* const begin = buffer->data();
+  char* const end = begin + buffer->size();
+  char* p = std::copy_n("OK ", 3, begin);
+  p = std::to_chars(p, end, ids.size()).ptr;
+  for (const ObjectId id : ids) {
+    *p++ = ' ';
+    p = std::to_chars(p, end, id).ptr;
+  }
+  *p++ = '\n';
+  out.write(begin, p - begin);
 }
 
 void ReplyStatus(std::ostream& out, const Status& status) {
@@ -47,10 +113,13 @@ size_t RunServerLoop(ServeEngine* engine, std::istream& in,
                      std::ostream& out) {
   size_t commands = 0;
   std::string line;
+  std::string reply;
   while (std::getline(in, line)) {
-    std::istringstream tokens(line);
-    std::string command;
-    if (!(tokens >> command) || command[0] == '#') continue;
+    const std::vector<std::string_view> tokens = SplitTokens(line);
+    Interval interval;
+    std::vector<ElementId> elements;
+    if (tokens.empty() || tokens[0][0] == '#') continue;
+    const std::string_view command = tokens[0];
     ++commands;
 
     if (command == "quit" || command == "exit") {
@@ -72,34 +141,33 @@ size_t RunServerLoop(ServeEngine* engine, std::istream& in,
       continue;
     }
     if (command == "query") {
-      Interval interval;
-      if (!ReadTime(tokens, &interval.st) || !ReadTime(tokens, &interval.end)) {
-        out << "ERR query needs <st> <end>\n";
+      const Status parsed =
+          ParseRequest(tokens, "<st> <end> [elem ...]", &interval, &elements);
+      if (!parsed.ok()) {
+        ReplyStatus(out, parsed);
         continue;
       }
-      Query query(interval, ReadElements(tokens));
-      StatusOr<std::vector<ObjectId>> result = engine->Execute(query);
+      StatusOr<std::vector<ObjectId>> result =
+          engine->Execute(Query(interval, std::move(elements)));
       if (!result.ok()) {
-        out << "ERR " << result.status().ToString() << "\n";
+        ReplyStatus(out, result.status());
         continue;
       }
-      out << "OK " << result->size();
-      for (const ObjectId id : *result) out << " " << id;
-      out << "\n";
+      WriteIdsReply(*result, &reply, out);
       continue;
     }
     if (command == "topk") {
       uint32_t k = 0;
-      Interval interval;
-      if (!(tokens >> k) || !ReadTime(tokens, &interval.st) ||
-          !ReadTime(tokens, &interval.end)) {
-        out << "ERR topk needs <k> <st> <end>\n";
+      const Status parsed = ParseRequest(tokens, "<k> <st> <end> [elem ...]",
+                                         &interval, &elements, &k);
+      if (!parsed.ok()) {
+        ReplyStatus(out, parsed);
         continue;
       }
-      Query query(interval, ReadElements(tokens));
-      StatusOr<std::vector<ScoredHit>> result = engine->ExecuteTopK(query, k);
+      StatusOr<std::vector<ScoredHit>> result =
+          engine->ExecuteTopK(Query(interval, std::move(elements)), k);
       if (!result.ok()) {
-        out << "ERR " << result.status().ToString() << "\n";
+        ReplyStatus(out, result.status());
         continue;
       }
       out << "OK " << result->size();
@@ -110,15 +178,16 @@ size_t RunServerLoop(ServeEngine* engine, std::istream& in,
       continue;
     }
     if (command == "insert") {
-      Interval interval;
-      if (!ReadTime(tokens, &interval.st) || !ReadTime(tokens, &interval.end)) {
-        out << "ERR insert needs <st> <end>\n";
+      const Status parsed =
+          ParseRequest(tokens, "<st> <end> [elem ...]", &interval, &elements);
+      if (!parsed.ok()) {
+        ReplyStatus(out, parsed);
         continue;
       }
       StatusOr<ObjectId> id =
-          engine->AppendInsert(interval, ReadElements(tokens));
+          engine->AppendInsert(interval, std::move(elements));
       if (!id.ok()) {
-        out << "ERR " << id.status().ToString() << "\n";
+        ReplyStatus(out, id.status());
       } else {
         out << "OK id=" << *id << "\n";
       }
@@ -126,14 +195,13 @@ size_t RunServerLoop(ServeEngine* engine, std::istream& in,
     }
     if (command == "erase") {
       ObjectId id = 0;
-      Interval interval;
-      if (!(tokens >> id) || !ReadTime(tokens, &interval.st) ||
-          !ReadTime(tokens, &interval.end)) {
-        out << "ERR erase needs <id> <st> <end>\n";
+      const Status parsed = ParseRequest(
+          tokens, "<id> <st> <end> [elem ...]", &interval, &elements, &id);
+      if (!parsed.ok()) {
+        ReplyStatus(out, parsed);
         continue;
       }
-      ReplyStatus(out,
-                  engine->Erase(Object(id, interval, ReadElements(tokens))));
+      ReplyStatus(out, engine->Erase(Object(id, interval, std::move(elements))));
       continue;
     }
     out << "ERR unknown command '" << command << "' (try help)\n";

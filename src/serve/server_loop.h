@@ -3,7 +3,7 @@
 // line (or stats block) per command on `out` — trivially scriptable and
 // unit-testable through stringstreams.
 //
-// Protocol (times and element ids are unsigned integers):
+// Protocol (k, ids, times and element ids are unsigned decimal integers):
 //   query <st> <end> [elem ...]      -> "OK <n> [id ...]" sorted ids
 //   topk <k> <st> <end> [elem ...]   -> "OK <n> [id:score ...]" ranked
 //                                       (score desc, id asc); needs a
@@ -14,8 +14,10 @@
 //   flush                            -> "OK"              fsync WALs (durable)
 //   help                             -> command summary
 //   quit                             -> "BYE" and the loop returns
-// Any failure replies "ERR <Status::ToString()>"; unknown commands reply
-// "ERR ..." and the loop continues. EOF behaves like quit.
+// Any failure replies "ERR <Status::ToString()>" and the loop continues:
+// a missing, non-numeric or trailing-garbage token, an interval with
+// <st> > <end>, an element id >= kElementIdLimit (ValidateObject), an
+// engine error, or an unknown command. EOF behaves like quit.
 
 #ifndef IRHINT_SERVE_SERVER_LOOP_H_
 #define IRHINT_SERVE_SERVER_LOOP_H_

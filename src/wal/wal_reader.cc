@@ -28,9 +28,6 @@ IRHINT_UNTRUSTED Status DecodeObjectPayload(const uint8_t* payload,
   const uint32_t count = GetU32(payload + 4);
   out->interval.st = GetU64(payload + 8);
   out->interval.end = GetU64(payload + 16);
-  if (out->interval.st > out->interval.end) {
-    return Status::Corruption("wal object interval inverted");
-  }
   // count is attacker-controlled; the byte-count multiply must not wrap
   // before it is compared against the record's actual payload span.
   size_t elem_bytes = 0;
@@ -43,13 +40,12 @@ IRHINT_UNTRUSTED Status DecodeObjectPayload(const uint8_t* payload,
   if (count > 0) {
     std::memcpy(out->elements.data(), payload + 24, elem_bytes);
   }
-  for (ElementId e : out->elements) {
-    // Replay grows dense per-element tables out to the largest id, so an
-    // unbounded id in a CRC-valid record is an allocation bomb.
-    if (e >= kElementIdLimit) {
-      return Status::Corruption("wal object element id out of range");
-    }
-  }
+  // The writer logs only objects that pass the same rule, so a CRC-valid
+  // record failing it was not written by this program. Replay grows dense
+  // per-element tables out to the largest id, so an unbounded id here is
+  // an allocation bomb.
+  const Status valid = ValidateObject(*out);
+  if (!valid.ok()) return Status::Corruption("wal object " + valid.message());
   return Status::OK();
 }
 

@@ -593,6 +593,45 @@ TEST(DurableIndexTest, WatermarkRejectsDuplicateAndUnknownIds) {
   std::filesystem::remove_all(dir);
 }
 
+// The writer applies the reader's validity rule before it logs. An object
+// with an element id past kElementIdLimit used to be acknowledged and
+// logged; on reopen the reader rejected that CRC-valid record, took it for
+// a torn tail and truncated the segment there, so the legal, synced inserts
+// after it were lost.
+TEST(DurableIndexTest, RefusedObjectDoesNotCostLaterWrites) {
+  const std::string dir = TempWalDir();
+  DurableIndexOptions options;
+  options.durability = WalDurability::kAlways;
+  std::unique_ptr<TemporalIrIndex> reference =
+      EmptyIndex(IndexKind::kNaiveScan);
+  {
+    auto index = DurableIndex::Open(dir, options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    const Object hostile(0, Interval(0, 10), {300000000});
+    EXPECT_TRUE((*index)->Insert(hostile).IsInvalidArgument());
+    EXPECT_EQ((*index)->next_object_id(), 0u);  // the refused id is not burned
+    for (ObjectId id = 0; id < 3; ++id) {
+      ASSERT_TRUE((*index)->Insert(MakeObject(id)).ok());
+      ASSERT_TRUE(reference->Insert(MakeObject(id)).ok());
+    }
+    EXPECT_TRUE((*index)->Erase(hostile).IsInvalidArgument());
+  }
+  auto reopened = DurableIndex::Open(dir, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery_info().torn_bytes_dropped, 0u);
+  EXPECT_EQ((*reopened)->recovery_info().records_replayed, 3u);
+  EXPECT_EQ((*reopened)->next_object_id(), 3u);
+  for (ObjectId id = 0; id < 3; ++id) {
+    const Object object = MakeObject(id);
+    const Ids got =
+        Answer(**reopened, Query(object.interval, {object.elements[0]}));
+    EXPECT_TRUE(std::binary_search(got.begin(), got.end(), id))
+        << "acknowledged object " << id << " lost in recovery";
+  }
+  ExpectSameAnswers(**reopened, *reference);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DurableIndexTest, InlineCheckpointRotatesAndCollectsGarbage) {
   const std::string dir = TempWalDir();
   WalEnv* env = DefaultWalEnv();
