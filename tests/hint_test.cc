@@ -42,11 +42,16 @@ std::vector<ObjectId> Sorted(std::vector<ObjectId> ids) {
   return ids;
 }
 
+// gtest names each case by a byte dump of its parameter, so the struct has
+// no padding: a `bool` here would leave three uninitialised bytes in the
+// name, and the name would change from build to build.
 struct HintParam {
   int m;
   HintSortMode sort;
-  bool storage_opt;
+  int storage_opt;  // 0 or 1
 };
+static_assert(sizeof(HintParam) == 2 * sizeof(int) + sizeof(HintSortMode),
+              "HintParam must have no padding bytes");
 
 class HintRandomizedTest : public ::testing::TestWithParam<HintParam> {};
 
@@ -58,7 +63,7 @@ TEST_P(HintRandomizedTest, MatchesBruteForce) {
   HintOptions options;
   options.num_bits = param.m;
   options.sort_mode = param.sort;
-  options.storage_optimization = param.storage_opt;
+  options.storage_optimization = param.storage_opt != 0;
   HintIndex hint;
   ASSERT_TRUE(hint.Build(records, domain_end, options).ok());
 
