@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "core/durable_index.h"
@@ -12,21 +14,27 @@ namespace serve {
 
 namespace {
 
+/// The distinct buckets of `elements`, ascending.
+void ElementBuckets(std::span<const ElementId> elements, uint32_t buckets,
+                    std::vector<uint32_t>* out) {
+  out->clear();
+  for (const ElementId element : elements) {
+    out->push_back(TermBucket(element, buckets));
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
 /// Replication targets of one object inside a time shard: the distinct
 /// buckets of its elements (bucket 0 for element-less objects, which only
 /// element-less queries — routed to every bucket — can match).
 void ObjectBuckets(const Object& object, uint32_t buckets,
                    std::vector<uint32_t>* out) {
-  out->clear();
   if (buckets == 1 || object.elements.empty()) {
-    out->push_back(0);
-    return;
+    out->assign(1, 0);
+  } else {
+    ElementBuckets(object.elements, buckets, out);
   }
-  for (const ElementId element : object.elements) {
-    out->push_back(TermBucket(element, buckets));
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 }  // namespace
@@ -155,7 +163,6 @@ StatusOr<std::unique_ptr<ServeEngine>> ServeEngine::Create(
       durable_options.config = options.config;
       durable_options.durability = options.durability;
       durable_options.checkpoint_bytes = options.checkpoint_bytes;
-      durable_options.snapshot_read.use_mmap = options.mmap_snapshots;
       StatusOr<std::unique_ptr<DurableIndex>> opened =
           DurableIndex::Open(dir, durable_options);
       IRHINT_RETURN_NOT_OK(opened.status());
@@ -190,64 +197,34 @@ uint32_t ServeEngine::TimeShardOf(Time t) const {
 }
 
 void ServeEngine::RouteQuery(const Query& query,
+                             std::span<const ElementId> bucket_elements,
                              std::vector<Shard*>* targets) const {
-  targets->clear();
-  const uint32_t t0 = TimeShardOf(query.interval.st);
-  const uint32_t t1 = TimeShardOf(query.interval.end);
-  for (uint32_t t = t0; t <= t1; ++t) {
-    if (term_buckets_ == 1) {
-      targets->push_back(shards_[ShardAt(t, 0)].get());
-    } else if (query.elements.empty()) {
-      // Element-less queries cannot pick a bucket; fan out to all (the
-      // merge deduplicates replicas).
-      for (uint32_t b = 0; b < term_buckets_; ++b) {
-        targets->push_back(shards_[ShardAt(t, b)].get());
-      }
-    } else {
-      // Any one query element suffices: matching objects contain every
-      // query element, so they are replicated into this element's bucket.
-      targets->push_back(shards_[ShardAt(
-          t, TermBucket(query.elements[0], term_buckets_))].get());
-    }
-  }
-}
-
-void ServeEngine::RouteTopK(const Query& query,
-                            std::vector<Shard*>* targets) const {
-  targets->clear();
-  const uint32_t t0 = TimeShardOf(query.interval.st);
-  const uint32_t t1 = TimeShardOf(query.interval.end);
   std::vector<uint32_t> buckets;
-  if (term_buckets_ == 1 || query.elements.empty()) {
-    // One bucket, or element-less ranked queries (empty top-k either way,
-    // but the legs must still run so NotSupported surfaces): bucket 0 or
-    // all of them.
-    for (uint32_t b = 0; b < term_buckets_; ++b) buckets.push_back(b);
+  if (bucket_elements.empty()) {
+    // Element-less queries cannot pick a bucket: fan out to all (empty
+    // results either way, but the legs must run so a top-k NotSupported
+    // surfaces; the merge drops replicas).
+    buckets.resize(term_buckets_);
+    std::iota(buckets.begin(), buckets.end(), 0u);
   } else {
-    // Disjunctive scoring: an object matching ANY query element can rank,
-    // and it is only guaranteed replicated into that element's bucket —
-    // so every element's bucket must be visited (replicas in several
-    // buckets score identically and the merge dedups them).
-    for (const ElementId element : query.elements) {
-      buckets.push_back(TermBucket(element, term_buckets_));
-    }
-    std::sort(buckets.begin(), buckets.end());
-    buckets.erase(std::unique(buckets.begin(), buckets.end()), buckets.end());
+    ElementBuckets(bucket_elements, term_buckets_, &buckets);
   }
-  for (uint32_t t = t0; t <= t1; ++t) {
-    for (const uint32_t b : buckets) {
-      targets->push_back(shards_[ShardAt(t, b)].get());
-    }
-  }
+  RouteTo(query.interval, buckets, targets);
 }
 
 void ServeEngine::RouteObject(const Object& object,
                               std::vector<Shard*>* targets) const {
-  targets->clear();
-  const uint32_t t0 = TimeShardOf(object.interval.st);
-  const uint32_t t1 = TimeShardOf(object.interval.end);
   std::vector<uint32_t> buckets;
   ObjectBuckets(object, term_buckets_, &buckets);
+  RouteTo(object.interval, buckets, targets);
+}
+
+void ServeEngine::RouteTo(const Interval& interval,
+                          const std::vector<uint32_t>& buckets,
+                          std::vector<Shard*>* targets) const {
+  targets->clear();
+  const uint32_t t0 = TimeShardOf(interval.st);
+  const uint32_t t1 = TimeShardOf(interval.end);
   for (uint32_t t = t0; t <= t1; ++t) {
     for (const uint32_t b : buckets) {
       targets->push_back(shards_[ShardAt(t, b)].get());
@@ -255,19 +232,31 @@ void ServeEngine::RouteObject(const Object& object,
   }
 }
 
-ResultFuture ServeEngine::Submit(const Query& query) {
+template <typename Hit>
+BasicResultFuture<Hit> ServeEngine::FanOut(
+    const Query& query, std::span<const ElementId> bucket_elements,
+    uint32_t k) {
   std::vector<Shard*> targets;
-  RouteQuery(query, &targets);
-  auto state = std::make_shared<ResultState>(
-      static_cast<uint32_t>(targets.size()));
+  RouteQuery(query, bucket_elements, &targets);
+  auto state = std::make_shared<BasicResultState<Hit>>(
+      static_cast<uint32_t>(targets.size()),
+      std::is_same_v<Hit, ScoredHit> ? k : std::numeric_limits<size_t>::max());
   for (Shard* shard : targets) {
-    if (!shard->TrySubmitQuery(query, state)) {
+    if (!shard->TrySubmit(query, k, state)) {
       state->FailLeg(Status::Unavailable(
           "shard " + std::to_string(shard->shard_index()) +
           " queue full; query shed"));
     }
   }
-  return ResultFuture(std::move(state));
+  return BasicResultFuture<Hit>(std::move(state));
+}
+
+ResultFuture ServeEngine::Submit(const Query& query) {
+  // Matching objects contain every query element, so they are replicated
+  // into the first element's bucket.
+  const std::span<const ElementId> elements(query.elements);
+  return FanOut<ObjectId>(
+      query, elements.first(std::min<size_t>(elements.size(), 1)), /*k=*/0);
 }
 
 StatusOr<std::vector<ObjectId>> ServeEngine::Execute(const Query& query) {
@@ -275,18 +264,9 @@ StatusOr<std::vector<ObjectId>> ServeEngine::Execute(const Query& query) {
 }
 
 TopKFuture ServeEngine::SubmitTopK(const Query& query, uint32_t k) {
-  std::vector<Shard*> targets;
-  RouteTopK(query, &targets);
-  auto state = std::make_shared<TopKState>(
-      static_cast<uint32_t>(targets.size()), k);
-  for (Shard* shard : targets) {
-    if (!shard->TrySubmitTopK(query, k, state)) {
-      state->FailLeg(Status::Unavailable(
-          "shard " + std::to_string(shard->shard_index()) +
-          " queue full; query shed"));
-    }
-  }
-  return TopKFuture(std::move(state));
+  // Disjunctive scoring: an object matching ANY query element can rank,
+  // and it is only guaranteed replicated into that element's bucket.
+  return FanOut<ScoredHit>(query, query.elements, k);
 }
 
 StatusOr<std::vector<ScoredHit>> ServeEngine::ExecuteTopK(const Query& query,

@@ -9,10 +9,14 @@
 // overlaps; with term_buckets > 1 it lands in bucket h(e) for each of its
 // elements e (so any single query element locates every matching object).
 // A query fans out only to the time shards overlapping its interval, and
-// within each to the bucket of its first element (all buckets for
-// element-less queries). Shards report sorted, duplicate-free legs and the
-// future merges them with a linear sorted union, so results are
-// byte-identical to a 1-shard engine for any shard/bucket/thread count.
+// within each to the buckets of the elements that choose them: the first
+// element for a Boolean query, all of them for a disjunctive top-k query
+// (all buckets for element-less queries). Boolean and top-k requests take
+// one path — one router, one fan-out, one shard submit and batch loop, one
+// result state — generic over the hit type (ObjectId or ScoredHit).
+// Shards report sorted, duplicate-free legs and the future merges them
+// with a linear sorted union, so results are byte-identical to a 1-shard
+// engine for any shard/bucket/thread count.
 //
 // Updates: Insert/Erase route to the same shard set as placement and ride
 // the per-shard queues (the worker is the only thread touching its index,
@@ -26,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,8 +68,6 @@ struct ServeOptions {
   std::string wal_dir;
   WalDurability durability = WalDurability::kBatch;
   uint64_t checkpoint_bytes = 0;
-  /// Checkpoint snapshots load back through mmap (zero-copy) when true.
-  bool mmap_snapshots = true;
 
   /// Test hook forwarded to every shard (see ShardOptions::batch_hook).
   std::function<void(size_t shard_index)> batch_hook;
@@ -162,13 +165,22 @@ class ServeEngine {
  private:
   ServeEngine() = default;
 
-  /// Shards overlapping [query interval] x [bucket of the query terms].
-  void RouteQuery(const Query& query, std::vector<Shard*>* targets) const;
-  /// Shards overlapping [query interval] x [buckets of ALL query terms]
-  /// (disjunctive semantics: any one element can rank an object).
-  void RouteTopK(const Query& query, std::vector<Shard*>* targets) const;
+  /// Shards overlapping [query interval] x [buckets of `bucket_elements`]
+  /// (every bucket when it is empty).
+  void RouteQuery(const Query& query,
+                  std::span<const ElementId> bucket_elements,
+                  std::vector<Shard*>* targets) const;
   /// Shards that must hold `object` under the placement rule.
   void RouteObject(const Object& object, std::vector<Shard*>* targets) const;
+  /// Shards overlapping [interval] x [buckets].
+  void RouteTo(const Interval& interval, const std::vector<uint32_t>& buckets,
+               std::vector<Shard*>* targets) const;
+  /// Routes a query and submits one leg per target shard; a full queue
+  /// fails its leg with kUnavailable. Top-k results are truncated to `k`.
+  template <typename Hit>
+  BasicResultFuture<Hit> FanOut(const Query& query,
+                                std::span<const ElementId> bucket_elements,
+                                uint32_t k);
   Status RunUpdate(bool erase, const Object& object);
 
   size_t ShardAt(uint32_t time_shard, uint32_t bucket) const {

@@ -1,13 +1,18 @@
 // Completion futures shared between the query router and the shard
-// workers. A routed request owns one ResultState with one "leg" per
+// workers. A routed request owns one BasicResultState with one "leg" per
 // target shard; legs complete (or fail) in any order on the shard worker
-// threads, and the submitting client blocks in ResultFuture::Get() until
-// every leg has landed. Each Boolean leg arrives sorted and
-// duplicate-free (serve/shard.h), so the merge is deterministic and
-// sort-free: a single leg is returned as is, several are folded with a
-// linear sorted union that drops cross-shard replicas. The final result
-// is byte-identical for any shard count, bucket count, thread count or
-// completion order (the property tests/serve_test.cc locks in).
+// threads, and the submitting client blocks in Get() until every leg has
+// landed. Boolean queries carry ObjectId legs, top-k queries ScoredHit
+// legs, and both share one merge rule: every leg arrives sorted under the
+// hit's strict total order (LegBefore: ascending id, or ScoredBetter) and
+// duplicate-free (serve/shard.h), so a single leg is returned as is and
+// several are folded with a linear sorted union, then truncated to the
+// request's limit (k for top-k, none for Boolean). Replicas of an object
+// across shards are equal hits (scores are a pure function of the object,
+// DESIGN.md §12), so the union drops them under either order. The final
+// result is byte-identical for any shard count, bucket count, thread
+// count or completion order (the property tests/serve_test.cc and
+// tests/rank_test.cc lock in).
 //
 // Concurrency (DESIGN.md §11): one leaf Mutex per state object,
 // "serve::ResultState::mu" — it is never held while acquiring another
@@ -20,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -32,30 +38,41 @@
 namespace irhint {
 namespace serve {
 
+/// \brief The strict total order every leg is sorted in and the merge
+/// keeps: ascending ids for Boolean legs, ScoredBetter for ranked legs.
+inline bool LegBefore(ObjectId a, ObjectId b) { return a < b; }
+inline bool LegBefore(const ScoredHit& a, const ScoredHit& b) {
+  return ScoredBetter(a, b);
+}
+
 /// \brief Shared completion state of one routed request.
 ///
 /// Constructed with the number of legs (target shards); every leg must be
-/// resolved exactly once via CompleteLeg() or FailLeg(). Queries carry id
-/// payloads; updates use empty payloads and only the status matters.
-class ResultState {
+/// resolved exactly once via CompleteLeg() or FailLeg(). Updates use
+/// ObjectId states with empty payloads; only the status matters.
+template <typename Hit>
+class BasicResultState {
  public:
-  explicit ResultState(uint32_t legs) : pending_(legs) {}
+  explicit BasicResultState(
+      uint32_t legs, size_t limit = std::numeric_limits<size_t>::max())
+      : pending_(legs), limit_(limit) {}
 
-  ResultState(const ResultState&) = delete;
-  ResultState& operator=(const ResultState&) = delete;
+  BasicResultState(const BasicResultState&) = delete;
+  BasicResultState& operator=(const BasicResultState&) = delete;
 
-  /// \brief Resolve one leg with the ids a shard reported: global ids,
-  /// sorted and duplicate-free (replicas across shards are deduplicated
-  /// by the final merge).
-  void CompleteLeg(std::vector<ObjectId> ids) {
+  /// \brief Resolve one leg with the hits a shard reported: global ids,
+  /// sorted under LegBefore and duplicate-free (replicas across shards
+  /// are dropped by the final merge).
+  void CompleteLeg(std::vector<Hit> hits) {
     MutexLock lock(&mu_);
-    legs_.push_back(std::move(ids));
+    legs_.push_back(std::move(hits));
     FinishLegLocked();
   }
 
-  /// \brief Resolve one leg as failed (shed under admission control, or an
-  /// update error). The first failure wins; the request still waits for
-  /// the remaining legs so no completion is ever lost.
+  /// \brief Resolve one leg as failed (shed under admission control, an
+  /// update error, or an index that cannot answer the query). The first
+  /// failure wins; the request still waits for the remaining legs so no
+  /// completion is ever lost.
   void FailLeg(const Status& status) {
     MutexLock lock(&mu_);
     if (error_.ok() && !status.ok()) error_ = status;
@@ -63,32 +80,31 @@ class ResultState {
   }
 
   /// \brief Block until every leg resolved; single consumer. Returns the
-  /// first leg failure, or the merged (sorted, duplicate-free) ids.
-  StatusOr<std::vector<ObjectId>> Wait() {
-    std::vector<std::vector<ObjectId>> legs;
+  /// first leg failure, or the merged hits (sorted under LegBefore,
+  /// duplicate-free, at most `limit`).
+  StatusOr<std::vector<Hit>> Wait() {
+    std::vector<std::vector<Hit>> legs;
     {
       MutexLock lock(&mu_);
       while (pending_ > 0) cv_.Wait(&mu_);
       if (!error_.ok()) return error_;
       legs.swap(legs_);
     }
-    if (legs.empty()) return std::vector<ObjectId>();
-    std::vector<ObjectId> merged = std::move(legs[0]);
-    std::vector<ObjectId> scratch;
+    if (legs.empty()) return std::vector<Hit>();
+    std::vector<Hit> merged = std::move(legs[0]);
+    std::vector<Hit> scratch;
+    const auto before = [](const Hit& a, const Hit& b) {
+      return LegBefore(a, b);
+    };
     for (size_t i = 1; i < legs.size(); ++i) {
       scratch.clear();
       scratch.reserve(merged.size() + legs[i].size());
       std::set_union(merged.begin(), merged.end(), legs[i].begin(),
-                     legs[i].end(), std::back_inserter(scratch));
+                     legs[i].end(), std::back_inserter(scratch), before);
       merged.swap(scratch);
     }
+    if (merged.size() > limit_) merged.resize(limit_);
     return merged;
-  }
-
-  /// \brief True once every leg has resolved (non-blocking probe).
-  bool Ready() const {
-    MutexLock lock(&mu_);
-    return (pending_ == 0);
   }
 
  private:
@@ -97,132 +113,39 @@ class ResultState {
     if (pending_ == 0) cv_.NotifyAll();
   }
 
-  mutable Mutex mu_{"serve::ResultState::mu"};
+  Mutex mu_{"serve::ResultState::mu"};
   CondVar cv_;
   uint32_t pending_ IRHINT_GUARDED_BY(mu_) = 0;
-  std::vector<std::vector<ObjectId>> legs_ IRHINT_GUARDED_BY(mu_);
-  Status error_ IRHINT_GUARDED_BY(mu_);
-};
-
-/// \brief Shared completion state of one routed top-k request
-/// (DESIGN.md §12). Same leg protocol as ResultState, but legs carry
-/// (id, score) hits and the merge keeps the ranked order: replicas of an
-/// object across shards report identical scores (shards hold whole
-/// objects and impacts are a pure function of term and interval), so the
-/// merge dedups by id, re-sorts by the ranked total order (score desc,
-/// id asc) and truncates to k — byte-identical to a 1-shard engine.
-class TopKState {
- public:
-  TopKState(uint32_t legs, uint32_t k) : pending_(legs), k_(k) {}
-
-  TopKState(const TopKState&) = delete;
-  TopKState& operator=(const TopKState&) = delete;
-
-  /// \brief Resolve one leg with a shard's local top-k (global ids).
-  void CompleteLeg(std::vector<ScoredHit> hits) {
-    MutexLock lock(&mu_);
-    legs_.push_back(std::move(hits));
-    FinishLegLocked();
-  }
-
-  /// \brief Resolve one leg as failed; first failure wins, all legs are
-  /// still awaited.
-  void FailLeg(const Status& status) {
-    MutexLock lock(&mu_);
-    if (error_.ok() && !status.ok()) error_ = status;
-    FinishLegLocked();
-  }
-
-  /// \brief Block until every leg resolved; single consumer. Returns the
-  /// first leg failure, or the merged global top-k.
-  StatusOr<std::vector<ScoredHit>> Wait() {
-    MutexLock lock(&mu_);
-    while (pending_ > 0) cv_.Wait(&mu_);
-    if (!error_.ok()) return error_;
-    std::vector<ScoredHit> merged;
-    for (std::vector<ScoredHit>& leg : legs_) {
-      merged.insert(merged.end(), leg.begin(), leg.end());
-    }
-    legs_.clear();
-    std::sort(merged.begin(), merged.end(),
-              [](const ScoredHit& a, const ScoredHit& b) {
-                return a.id < b.id;
-              });
-    merged.erase(std::unique(merged.begin(), merged.end(),
-                             [](const ScoredHit& a, const ScoredHit& b) {
-                               return a.id == b.id;
-                             }),
-                 merged.end());
-    std::sort(merged.begin(), merged.end(), ScoredBetter);
-    if (merged.size() > static_cast<size_t>(k_)) merged.resize(k_);
-    return merged;
-  }
-
-  bool Ready() const {
-    MutexLock lock(&mu_);
-    return (pending_ == 0);
-  }
-
- private:
-  void FinishLegLocked() IRHINT_REQUIRES(mu_) {
-    if (pending_ > 0) --pending_;
-    if (pending_ == 0) cv_.NotifyAll();
-  }
-
-  mutable Mutex mu_{"serve::ResultState::mu"};
-  CondVar cv_;
-  uint32_t pending_ IRHINT_GUARDED_BY(mu_) = 0;
-  const uint32_t k_;  // unguarded: immutable after construction
-  std::vector<std::vector<ScoredHit>> legs_ IRHINT_GUARDED_BY(mu_);
+  const size_t limit_;  // unguarded: immutable after construction
+  std::vector<std::vector<Hit>> legs_ IRHINT_GUARDED_BY(mu_);
   Status error_ IRHINT_GUARDED_BY(mu_);
 };
 
 /// \brief Client-side handle on a submitted request. Move-friendly thin
 /// wrapper; Get() blocks until the router's legs are all resolved.
-class ResultFuture {
+template <typename Hit>
+class BasicResultFuture {
  public:
-  ResultFuture() = default;
-  explicit ResultFuture(std::shared_ptr<ResultState> state)
+  BasicResultFuture() = default;
+  explicit BasicResultFuture(std::shared_ptr<BasicResultState<Hit>> state)
       : state_(std::move(state)) {}
 
-  bool valid() const { return state_ != nullptr; }
-  bool Ready() const { return state_ != nullptr && state_->Ready(); }
-
-  /// \brief Block for the merged result (see ResultState::Wait).
-  StatusOr<std::vector<ObjectId>> Get() {
+  /// \brief Block for the merged result (see BasicResultState::Wait).
+  StatusOr<std::vector<Hit>> Get() {
     if (state_ == nullptr) {
-      return Status::InvalidArgument("Get() on an empty ResultFuture");
+      return Status::InvalidArgument("Get() on an empty result future");
     }
     return state_->Wait();
   }
 
  private:
   // unguarded: owned by the single client thread holding the future
-  std::shared_ptr<ResultState> state_;
+  std::shared_ptr<BasicResultState<Hit>> state_;
 };
 
-/// \brief Client-side handle on a submitted top-k request.
-class TopKFuture {
- public:
-  TopKFuture() = default;
-  explicit TopKFuture(std::shared_ptr<TopKState> state)
-      : state_(std::move(state)) {}
-
-  bool valid() const { return state_ != nullptr; }
-  bool Ready() const { return state_ != nullptr && state_->Ready(); }
-
-  /// \brief Block for the merged ranked result (see TopKState::Wait).
-  StatusOr<std::vector<ScoredHit>> Get() {
-    if (state_ == nullptr) {
-      return Status::InvalidArgument("Get() on an empty TopKFuture");
-    }
-    return state_->Wait();
-  }
-
- private:
-  // unguarded: owned by the single client thread holding the future
-  std::shared_ptr<TopKState> state_;
-};
+using ResultState = BasicResultState<ObjectId>;
+using ResultFuture = BasicResultFuture<ObjectId>;
+using TopKFuture = BasicResultFuture<ScoredHit>;
 
 }  // namespace serve
 }  // namespace irhint

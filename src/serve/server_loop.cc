@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace irhint {
@@ -65,33 +66,54 @@ Status ParseRequest(const std::vector<std::string_view>& tokens,
   return ValidateObject(*interval, *elements);
 }
 
-/// Writes "OK <n> <id> ...\n". The digits go straight into `buffer`, sized
-/// for the widest numbers, and leave in one write: a wide result is
-/// thousands of ids, and per-id stream formatting cost more than the
-/// engine took to find them.
-void WriteIdsReply(const std::vector<ObjectId>& ids, std::string* buffer,
-                   std::ostream& out) {
-  constexpr size_t kCountDigits = std::numeric_limits<size_t>::digits10 + 1;
-  constexpr size_t kIdDigits = std::numeric_limits<ObjectId>::digits10 + 1;
-  buffer->resize(3 + kCountDigits + ids.size() * (1 + kIdDigits) + 1);
-  char* const begin = buffer->data();
-  char* const end = begin + buffer->size();
-  char* p = std::copy_n("OK ", 3, begin);
-  p = std::to_chars(p, end, ids.size()).ptr;
-  for (const ObjectId id : ids) {
-    *p++ = ' ';
-    p = std::to_chars(p, end, id).ptr;
-  }
-  *p++ = '\n';
-  out.write(begin, p - begin);
-}
-
 void ReplyStatus(std::ostream& out, const Status& status) {
   if (status.ok()) {
     out << "OK\n";
   } else {
     out << "ERR " << status.ToString() << "\n";
   }
+}
+
+char* WriteHit(char* p, char* end, ObjectId id) {
+  return std::to_chars(p, end, id).ptr;
+}
+
+char* WriteHit(char* p, char* end, const ScoredHit& hit) {
+  p = std::to_chars(p, end, hit.id).ptr;
+  *p++ = ':';
+  return std::to_chars(p, end, hit.score).ptr;
+}
+
+/// Writes "OK <n> <hit> ...\n", a hit being "<id>" or "<id>:<score>", or
+/// the error that replaced the hits. The digits go straight into
+/// `buffer`, sized for the widest numbers, and leave in one write: a wide
+/// result is thousands of ids, and per-id stream formatting cost more than
+/// the engine took to find them.
+template <typename Hit>
+void ReplyHits(const StatusOr<std::vector<Hit>>& result, std::string* buffer,
+               std::ostream& out) {
+  if (!result.ok()) {
+    ReplyStatus(out, result.status());
+    return;
+  }
+  const std::vector<Hit>& hits = *result;
+  constexpr size_t kCountDigits = std::numeric_limits<size_t>::digits10 + 1;
+  constexpr size_t kIdDigits = std::numeric_limits<ObjectId>::digits10 + 1;
+  constexpr size_t kHitChars =
+      std::is_same_v<Hit, ScoredHit>
+          ? kIdDigits + 1 + std::numeric_limits<uint64_t>::digits10 + 1
+          : kIdDigits;
+  buffer->resize(3 + kCountDigits + hits.size() * (1 + kHitChars) + 1);
+  char* const begin = buffer->data();
+  char* const end = begin + buffer->size();
+  char* p = std::copy_n("OK ", 3, begin);
+  p = std::to_chars(p, end, hits.size()).ptr;
+  for (const Hit& hit : hits) {
+    *p++ = ' ';
+    p = WriteHit(p, end, hit);
+  }
+  *p++ = '\n';
+  out.write(begin, p - begin);
 }
 
 void PrintStats(const EngineStats& stats, std::ostream& out) {
@@ -147,13 +169,8 @@ size_t RunServerLoop(ServeEngine* engine, std::istream& in,
         ReplyStatus(out, parsed);
         continue;
       }
-      StatusOr<std::vector<ObjectId>> result =
-          engine->Execute(Query(interval, std::move(elements)));
-      if (!result.ok()) {
-        ReplyStatus(out, result.status());
-        continue;
-      }
-      WriteIdsReply(*result, &reply, out);
+      ReplyHits(engine->Execute(Query(interval, std::move(elements))), &reply,
+                out);
       continue;
     }
     if (command == "topk") {
@@ -164,17 +181,8 @@ size_t RunServerLoop(ServeEngine* engine, std::istream& in,
         ReplyStatus(out, parsed);
         continue;
       }
-      StatusOr<std::vector<ScoredHit>> result =
-          engine->ExecuteTopK(Query(interval, std::move(elements)), k);
-      if (!result.ok()) {
-        ReplyStatus(out, result.status());
-        continue;
-      }
-      out << "OK " << result->size();
-      for (const ScoredHit& hit : *result) {
-        out << " " << hit.id << ":" << hit.score;
-      }
-      out << "\n";
+      ReplyHits(engine->ExecuteTopK(Query(interval, std::move(elements)), k),
+                &reply, out);
       continue;
     }
     if (command == "insert") {

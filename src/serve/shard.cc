@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <tuple>
 #include <utility>
 
 #include "common/timer.h"
@@ -11,17 +10,6 @@ namespace irhint {
 namespace serve {
 
 namespace {
-
-/// Strict weak order grouping identical queries next to each other so the
-/// batch executor can reuse one descent for all duplicates.
-bool QueryLess(const Query& a, const Query& b) {
-  return std::tie(a.interval.st, a.interval.end, a.elements) <
-         std::tie(b.interval.st, b.interval.end, b.elements);
-}
-
-bool QueryEqual(const Query& a, const Query& b) {
-  return a.interval == b.interval && a.elements == b.elements;
-}
 
 void BumpMax(std::atomic<uint64_t>& cell, uint64_t value) {
   uint64_t seen = cell.load(std::memory_order_relaxed);
@@ -58,42 +46,17 @@ void Shard::Stop() {
   if (worker_.joinable()) worker_.join();
 }
 
-bool Shard::TrySubmitQuery(const Query& query,
-                           std::shared_ptr<ResultState> result) {
+bool Shard::TrySubmit(const Query& query, uint32_t k, LegResult result) {
   {
     MutexLock lock(&mu_);
     if (!stopping_ && queue_.size() < options_.max_queue_depth) {
       Request request;
-      request.kind = Request::Kind::kQuery;
-      // Localized at enqueue so the batch executor's duplicate grouping
+      // Localized at enqueue so the batch executor's twin grouping
       // compares shard-local coordinates.
       request.query.interval = Localize(query.interval);
       request.query.elements = query.elements;
-      request.result = std::move(result);
-      queue_.push_back(std::move(request));
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      BumpMax(peak_queue_depth_, queue_.size());
-      work_cv_.NotifyOne();
-      return true;
-    }
-  }
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-bool Shard::TrySubmitTopK(const Query& query, uint32_t k,
-                          std::shared_ptr<TopKState> result) {
-  {
-    MutexLock lock(&mu_);
-    if (!stopping_ && queue_.size() < options_.max_queue_depth) {
-      Request request;
-      request.kind = Request::Kind::kTopK;
-      // Scored engines run with localize=false, so this is the identity;
-      // kept for symmetry with TrySubmitQuery.
-      request.query.interval = Localize(query.interval);
-      request.query.elements = query.elements;
       request.k = k;
-      request.topk = std::move(result);
+      request.result = std::move(result);
       queue_.push_back(std::move(request));
       submitted_.fetch_add(1, std::memory_order_relaxed);
       BumpMax(peak_queue_depth_, queue_.size());
@@ -121,7 +84,7 @@ void Shard::SubmitUpdate(bool erase, Object object,
       idle_cv_.Wait(&mu_);
     }
     if (stopping_) {
-      reject = std::move(request.result);
+      reject = std::get<0>(std::move(request.result));
     } else {
       queue_.push_back(std::move(request));
       submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -195,56 +158,70 @@ void Shard::ExecuteBatch(std::vector<Request>* batch) {
   // Updates first, in submission order (ids are strictly increasing, so
   // order matters); queries in the batch then observe every update that
   // was admitted before the batch formed.
-  std::vector<size_t> query_indices;
-  std::vector<size_t> topk_indices;
-  query_indices.reserve(batch->size());
-  for (size_t i = 0; i < batch->size(); ++i) {
-    Request& request = (*batch)[i];
+  std::vector<Request*> queries;
+  queries.reserve(batch->size());
+  for (Request& request : *batch) {
     if (request.kind == Request::Kind::kQuery) {
-      query_indices.push_back(i);
-    } else if (request.kind == Request::Kind::kTopK) {
-      topk_indices.push_back(i);
+      queries.push_back(&request);
     } else {
       ApplyUpdate(&request);
     }
   }
 
-  // Group identical queries: one index descent per distinct query, the
-  // ids fan out to every duplicate. Zipf-popular queries make this the
-  // main amortization lever of the batch.
-  std::stable_sort(query_indices.begin(), query_indices.end(),
-                   [batch](size_t a, size_t b) {
-                     return QueryLess((*batch)[a].query, (*batch)[b].query);
+  // Group twins: one index descent per distinct request, the hits fan out
+  // to every twin. Zipf-popular queries make this the main amortization
+  // lever of the batch.
+  std::stable_sort(queries.begin(), queries.end(),
+                   [](const Request* a, const Request* b) {
+                     return a->TwinKey() < b->TwinKey();
                    });
-  std::vector<ObjectId> local_ids;
-  std::vector<ObjectId> global_ids;
-  const size_t queries = query_indices.size();
-  for (size_t i = 0; i < queries; ++i) {
-    Request& request = (*batch)[query_indices[i]];
-    if (i > 0 &&
-        QueryEqual(request.query, (*batch)[query_indices[i - 1]].query)) {
-      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      index_->Query(request.query, &local_ids);
-      executed_queries_.fetch_add(1, std::memory_order_relaxed);
-      ToSortedGlobalIds(local_ids, &global_ids);
+  for (size_t begin = 0, end = 0; begin < queries.size(); begin = end) {
+    while (end < queries.size() &&
+           queries[end]->TwinKey() == queries[begin]->TwinKey()) {
+      ++end;
     }
-    // The last twin of a group (or a lone query) takes the vector; the
-    // next distinct query refills a fresh one.
-    const bool last_twin =
-        i + 1 == queries ||
-        !QueryEqual(request.query, (*batch)[query_indices[i + 1]].query);
-    request.result->CompleteLeg(last_twin ? std::exchange(global_ids, {})
-                                          : global_ids);
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    const std::span<Request* const> twins(&queries[begin], end - begin);
+    std::visit(
+        [&]<typename Hit>(const std::shared_ptr<BasicResultState<Hit>>&) {
+          ExecuteTwins<Hit>(twins);
+        },
+        twins[0]->result);
   }
 
-  // Top-k legs run after the batch's updates for the same visibility
-  // guarantee as Boolean queries. No duplicate grouping: ranked traffic
-  // is rarer and each leg's k can differ.
-  for (const size_t i : topk_indices) ExecuteTopK(&(*batch)[i]);
-
   busy_nanos_.fetch_add(timer.Nanos(), std::memory_order_relaxed);
+}
+
+template <typename Hit>
+void Shard::ExecuteTwins(std::span<Request* const> twins) {
+  std::vector<Hit> hits;
+  const Status status = Answer(*twins[0], &hits);
+  executed_queries_.fetch_add(1, std::memory_order_relaxed);
+  dedup_hits_.fetch_add(twins.size() - 1, std::memory_order_relaxed);
+  for (size_t i = 0; i < twins.size(); ++i) {
+    const auto& result =
+        std::get<std::shared_ptr<BasicResultState<Hit>>>(twins[i]->result);
+    if (!status.ok()) {
+      result->FailLeg(status);
+    } else {
+      // The last twin (or a lone request) takes the vector.
+      result->CompleteLeg(i + 1 == twins.size() ? std::move(hits) : hits);
+    }
+    completed_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+Status Shard::Answer(const Request& request, std::vector<ObjectId>* ids) {
+  index_->Query(request.query, &local_ids_);
+  ToSortedGlobalIds(local_ids_, ids);
+  return Status::OK();
+}
+
+Status Shard::Answer(const Request& request, std::vector<ScoredHit>* hits) {
+  IRHINT_RETURN_NOT_OK(index_->TopKQuery(request.query, request.k, hits));
+  // Scores are already global because scored shards never rebase
+  // intervals (options_.localize == false).
+  for (ScoredHit& hit : *hits) hit.id = id_map_[hit.id];
+  return Status::OK();
 }
 
 void Shard::ToSortedGlobalIds(const std::vector<ObjectId>& local,
@@ -272,21 +249,6 @@ void Shard::ToSortedGlobalIds(const std::vector<ObjectId>& local,
   }
 }
 
-void Shard::ExecuteTopK(Request* request) {
-  std::vector<ScoredHit> hits;
-  const Status status = index_->TopKQuery(request->query, request->k, &hits);
-  executed_queries_.fetch_add(1, std::memory_order_relaxed);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  if (!status.ok()) {
-    request->topk->FailLeg(status);
-    return;
-  }
-  // Report global ids; scores are already global because scored shards
-  // never rebase intervals (options_.localize == false).
-  for (ScoredHit& hit : hits) hit.id = id_map_[hit.id];
-  request->topk->CompleteLeg(std::move(hits));
-}
-
 void Shard::ApplyUpdate(Request* request) {
   const Object& object = request->object;
   Status status;
@@ -310,10 +272,11 @@ void Shard::ApplyUpdate(Request* request) {
   }
   updates_applied_.fetch_add(1, std::memory_order_relaxed);
   completed_.fetch_add(1, std::memory_order_relaxed);
+  const std::shared_ptr<ResultState>& result = std::get<0>(request->result);
   if (status.ok()) {
-    request->result->CompleteLeg({});
+    result->CompleteLeg({});
   } else {
-    request->result->FailLeg(status);
+    result->FailLeg(status);
   }
 }
 

@@ -6,19 +6,22 @@
 // Batching: the worker pops every queued request up to max_batch in one
 // lock acquisition — the natural coalescing window is however long the
 // previous batch took — applies the batch's updates in submission order,
-// then sorts its queries so identical ones (common under Zipf traffic)
-// run the index descent once and fan the ids out to every duplicate.
+// then sorts its queries so twins (same kind, k, interval and elements;
+// common under Zipf traffic) run the index descent once and fan the hits
+// out to every twin. Boolean and top-k queries share this loop; only the
+// descent differs by hit type.
 //
-// Result legs: every Boolean leg leaves the shard as a sorted,
-// duplicate-free vector of global ids, so the ResultState merge is a
-// linear union (a single leg passes straight through). Local ids are dense
-// in [0, id_map_.size()) and id_map_ is ascending, so ordering local ids
-// orders the global ids too. Each leg is ordered with a worker-owned
-// bitmap over local ids: set bits, then scan and clear only the words
-// between the lowest and the highest id. Each leg is moved into its
-// ResultState; only batched duplicate twins get copies.
+// Result legs: every leg leaves the shard as a duplicate-free vector of
+// global ids sorted under LegBefore (serve/result_future.h), so the merge
+// is a linear union (a single leg passes straight through). Local ids are
+// dense in [0, id_map_.size()) and id_map_ is ascending, so ordering local
+// ids orders the global ids too. Boolean legs are ordered with a
+// worker-owned bitmap over local ids: set bits, then scan and clear only
+// the words between the lowest and the highest id. Top-k legs arrive from
+// TopKQuery in ScoredBetter order, which the ascending id map keeps. Each
+// leg is moved into its result state; only batched twins get copies.
 //
-// Admission control: TrySubmitQuery() rejects when the queue is at
+// Admission control: TrySubmit() rejects when the queue is at
 // max_queue_depth (the router fails that leg with kUnavailable and the
 // shard counts a shed); SubmitUpdate() instead blocks — shedding a query
 // costs a retry, shedding an update would lose data — so ingestion sees
@@ -26,7 +29,7 @@
 //
 // Concurrency (DESIGN.md §11): "serve::Shard::queue" guards the queue and
 // the worker handshake; it is released before the batch executes, so index
-// locks (e.g. "DurableIndex::state") and the ResultState leaf mutex are
+// locks (e.g. "DurableIndex::state") and the result-state leaf mutex are
 // only ever acquired with no shard lock held. The index and the local→
 // global id map are touched exclusively by the worker thread once Start()
 // has run (bulk build happens before, on the constructing thread).
@@ -40,8 +43,11 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -86,6 +92,11 @@ struct ShardOptions {
   std::function<void(size_t shard_index)> batch_hook;
 };
 
+/// \brief Completion state of one shard leg: Boolean queries and updates
+/// resolve an id state, top-k queries a scored one.
+using LegResult = std::variant<std::shared_ptr<ResultState>,
+                               std::shared_ptr<BasicResultState<ScoredHit>>>;
+
 /// \brief A single serving partition. Construction takes the already
 /// bulk-built index plus the local→global id map; Start() arms the worker.
 class Shard {
@@ -112,17 +123,12 @@ class Shard {
   /// destructor calls it too.
   void Stop();
 
-  /// \brief Enqueue one query leg. Returns false (and counts a shed)
-  /// when the queue is at max_queue_depth; the caller must then fail the
-  /// leg with kUnavailable.
-  bool TrySubmitQuery(const Query& query, std::shared_ptr<ResultState> result);
-
-  /// \brief Enqueue one ranked top-k leg (same admission control as
-  /// TrySubmitQuery). The worker answers it with the shard index's
-  /// TopKQuery and reports global ids; indexes without scored postings
-  /// fail the leg with NotSupported.
-  bool TrySubmitTopK(const Query& query, uint32_t k,
-                     std::shared_ptr<TopKState> result);
+  /// \brief Enqueue one query leg: Boolean when `result` holds an id
+  /// state (pass k = 0), ranked top-k when it holds a scored one. Returns
+  /// false (and counts a shed) when the queue is at max_queue_depth; the
+  /// caller must then fail the leg with kUnavailable. Indexes without
+  /// scored postings fail top-k legs with NotSupported.
+  bool TrySubmit(const Query& query, uint32_t k, LegResult result);
 
   /// \brief Enqueue an insert (erase=false) or erase (erase=true) leg.
   /// Blocks while the queue is full — updates are never shed, they see
@@ -143,26 +149,33 @@ class Shard {
   TemporalIrIndex* index() { return index_.get(); }
   const TemporalIrIndex* index() const { return index_.get(); }
 
-  /// \brief Local objects currently mapped (bulk-built + live inserts).
-  /// Quiesced inspection only.
-  size_t mapped_objects() const { return id_map_.size(); }
-
  private:
   struct Request {
-    enum class Kind { kQuery, kInsert, kErase, kTopK };
+    enum class Kind { kQuery, kInsert, kErase };
     Kind kind = Kind::kQuery;
-    Query query;     // kQuery / kTopK payload
-    uint32_t k = 0;  // kTopK payload
+    Query query;     // kQuery payload
+    uint32_t k = 0;  // kQuery top-k limit; 0 for Boolean legs
     Object object;   // update payload (global id)
-    std::shared_ptr<ResultState> result;
-    std::shared_ptr<TopKState> topk;  // kTopK completion state
+    LegResult result;
+
+    /// Twins have equal keys: one index descent answers them all.
+    std::tuple<size_t, uint32_t, Time, Time, const std::vector<ElementId>&>
+    TwinKey() const {
+      return {result.index(), k, query.interval.st, query.interval.end,
+              query.elements};
+    }
   };
 
   void WorkerLoop();
   /// Runs one popped batch with no shard lock held.
   void ExecuteBatch(std::vector<Request>* batch) IRHINT_EXCLUDES(mu_);
   void ApplyUpdate(Request* request);
-  void ExecuteTopK(Request* request);
+  /// Answers a group of twins with one index descent.
+  template <typename Hit>
+  void ExecuteTwins(std::span<Request* const> twins);
+  /// One index descent; the leg's global hits, sorted under LegBefore.
+  Status Answer(const Request& request, std::vector<ObjectId>* ids);
+  Status Answer(const Request& request, std::vector<ScoredHit>* hits);
   /// Writes the distinct global ids of the local ids in `local`, ascending,
   /// to `global`.
   void ToSortedGlobalIds(const std::vector<ObjectId>& local,
@@ -189,8 +202,10 @@ class Shard {
   // constructing thread); quiesced readers must WaitIdle() first.
   std::unique_ptr<TemporalIrIndex> index_;  // unguarded: worker-owned
   std::vector<ObjectId> id_map_;            // unguarded: worker-owned
-  // ToSortedGlobalIds scratch, one bit per local id; all zero between
-  // calls. Outside MemoryUsageBytes: it is not index state.
+  // Boolean descent scratch: the local ids, and one bit per local id for
+  // ToSortedGlobalIds (all zero between calls). Outside MemoryUsageBytes:
+  // it is not index state.
+  std::vector<ObjectId> local_ids_;         // unguarded: worker-owned
   std::vector<uint64_t> bitmap_;            // unguarded: worker-owned
 
   mutable Mutex mu_{"serve::Shard::queue"};

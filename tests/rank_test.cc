@@ -344,23 +344,23 @@ TEST(ServeTopKTest, EngineMatchesDirectIndexAcrossGeometries) {
       CreateIndex(IndexKind::kScoredIrHint);
   ASSERT_TRUE(direct->Build(corpus).ok());
 
-  struct Geometry {
-    uint32_t shards, buckets;
-  };
-  for (const Geometry g : {Geometry{1, 1}, Geometry{3, 2}}) {
-    serve::ServeOptions options;
-    options.time_shards = g.shards;
-    options.term_buckets = g.buckets;
-    options.kind = IndexKind::kScoredIrHint;
-    StatusOr<std::unique_ptr<serve::ServeEngine>> engine =
-        serve::ServeEngine::Create(corpus, options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    for (const Query& query : queries) {
-      for (const uint32_t k : {1u, 10u}) {
-        StatusOr<Hits> got = (*engine)->ExecuteTopK(query, k);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(*got, MustTopK(*direct, query, k))
-            << g.shards << "x" << g.buckets;
+  // Every cell of the Boolean engine test's grid, plus buckets=2.
+  for (const uint32_t shards : {1u, 2u, 3u, 5u}) {
+    for (const uint32_t buckets : {1u, 2u, 3u}) {
+      serve::ServeOptions options;
+      options.time_shards = shards;
+      options.term_buckets = buckets;
+      options.kind = IndexKind::kScoredIrHint;
+      StatusOr<std::unique_ptr<serve::ServeEngine>> engine =
+          serve::ServeEngine::Create(corpus, options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (const Query& query : queries) {
+        for (const uint32_t k : {1u, 10u}) {
+          StatusOr<Hits> got = (*engine)->ExecuteTopK(query, k);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(*got, MustTopK(*direct, query, k))
+              << shards << "x" << buckets;
+        }
       }
     }
   }
@@ -439,9 +439,28 @@ TEST(ServeTopKTest, ServerLoopSpeaksTopk) {
   for (const ScoredHit& hit : want) expected << " " << hit.id << ":"
                                              << hit.score;
 
+  // Hits with ids at the top of the 32-bit range, under an element no
+  // corpus object carries, straddling both shards with different ends (so
+  // different scores): the reply is a two-leg union whose bytes must
+  // match the stream format.
+  for (const ObjectId id : {4294967290u, 4294967292u, 4294967294u}) {
+    const Interval interval(100, 110000 + id % 7 * 12000);
+    ASSERT_TRUE((*engine)->Insert(Object(id, interval, {1000})).ok());
+  }
+  StatusOr<Hits> high =
+      (*engine)->ExecuteTopK(Query(Interval(0, 200000), {1000}), 10);
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  ASSERT_EQ(high->size(), 3u);
+  std::ostringstream high_expected;
+  high_expected << "OK " << high->size();
+  for (const ScoredHit& hit : *high) {
+    high_expected << " " << hit.id << ":" << hit.score;
+  }
+
   std::istringstream in(
       "topk 3 0 200000 1 2\n"
       "topk\n"
+      "topk 10 0 200000 1000\n"
       "quit\n");
   std::ostringstream out;
   serve::RunServerLoop(engine->get(), in, out);
@@ -451,6 +470,8 @@ TEST(ServeTopKTest, ServerLoopSpeaksTopk) {
   EXPECT_EQ(line, expected.str());
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_EQ(line.rfind("ERR", 0), 0u) << line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, high_expected.str());
 }
 
 // Concurrent ranked and Boolean traffic through the engine: every thread

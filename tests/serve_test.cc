@@ -1,7 +1,8 @@
 // Tests of the sharded serving engine (src/serve/): routing/merge
 // determinism against a 1-shard oracle and a NaiveScan ground truth,
 // sorted legs from sparse and dense results, batching and duplicate
-// coalescing, admission control under a slow-shard fault, live
+// coalescing (Boolean and top-k), admission control under a slow-shard
+// fault (Boolean and top-k), live
 // updates through the shard queues, durable mode, and the line-oriented
 // server loop with its reply format and malformed-input handling.
 
@@ -160,7 +161,7 @@ TEST(ServeEngineTest, MatchesNaiveScanForEveryGeometryAndKind) {
 
 // Identical queries held back until they share one batch: each shard runs
 // one descent per distinct query, and every twin, whether it got a copy
-// or the moved vector, receives the full id list.
+// or the moved vector, receives the full id list — Boolean and top-k.
 TEST(ServeEngineTest, EveryBatchedTwinReceivesTheFullResult) {
   const Corpus corpus = TestCorpus();
   std::atomic<bool> release{false};
@@ -216,6 +217,55 @@ TEST(ServeEngineTest, EveryBatchedTwinReceivesTheFullResult) {
   const EngineStats stats = (*engine)->Stats();
   EXPECT_EQ(stats.total_dedup_hits, 2 * (kWideTwins - 1 + kNarrowTwins - 1));
   EXPECT_EQ(stats.total_executed_queries, 2u * 3u);
+
+  // The ranked case on a scored engine: top-k twins share the query and
+  // k; the same query at another k is another descent.
+  release.store(false);
+  held.store(0);
+  options.kind = IndexKind::kScoredIrHint;
+  StatusOr<std::unique_ptr<ServeEngine>> scored =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  std::unique_ptr<TemporalIrIndex> direct =
+      CreateIndex(IndexKind::kScoredIrHint);
+  ASSERT_TRUE(direct->Build(corpus).ok());
+  std::vector<ScoredHit> want_top10;
+  std::vector<ScoredHit> want_top3;
+  ASSERT_TRUE(direct->TopKQuery(wide, 10, &want_top10).ok());
+  ASSERT_TRUE(direct->TopKQuery(wide, 3, &want_top3).ok());
+  ASSERT_EQ(want_top10.size(), 10u);
+
+  TopKFuture ranked_blocker =
+      (*scored)->SubmitTopK(Query(Interval(0, 200000), {3}), 10);
+  while (held.load() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<TopKFuture> top10_futures;
+  std::vector<TopKFuture> top3_futures;
+  for (size_t i = 0; i < kWideTwins; ++i) {
+    top10_futures.push_back((*scored)->SubmitTopK(wide, 10));
+    if (i < kNarrowTwins) {
+      top3_futures.push_back((*scored)->SubmitTopK(wide, 3));
+    }
+  }
+  release.store(true);
+  EXPECT_TRUE(ranked_blocker.Get().ok());
+  for (TopKFuture& future : top10_futures) {
+    const StatusOr<std::vector<ScoredHit>> got = future.Get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want_top10);
+  }
+  for (TopKFuture& future : top3_futures) {
+    const StatusOr<std::vector<ScoredHit>> got = future.Get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want_top3);
+  }
+
+  (*scored)->WaitIdle();
+  const EngineStats ranked_stats = (*scored)->Stats();
+  EXPECT_EQ(ranked_stats.total_dedup_hits,
+            2 * (kWideTwins - 1 + kNarrowTwins - 1));
+  EXPECT_EQ(ranked_stats.total_executed_queries, 2u * 3u);
 }
 
 // Same property under concurrent submitters: many client threads racing
@@ -443,6 +493,37 @@ TEST(ServeEngineTest, SlowShardShedsAtBoundedDepth) {
   // The engine still answers once the burst is over (no deadlock, no
   // poisoned worker).
   EXPECT_TRUE((*engine)->Execute(query).ok());
+
+  // A ranked burst on a scored engine sheds and drains the same way.
+  options.kind = IndexKind::kScoredIrHint;
+  StatusOr<std::unique_ptr<ServeEngine>> scored =
+      ServeEngine::Create(corpus, options);
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  std::vector<TopKFuture> ranked_futures;
+  ranked_futures.reserve(200);
+  for (int i = 0; i < 200; ++i) {
+    ranked_futures.push_back((*scored)->SubmitTopK(query, 10));
+  }
+  size_t ranked_ok = 0, ranked_shed = 0;
+  for (TopKFuture& future : ranked_futures) {
+    const StatusOr<std::vector<ScoredHit>> result = future.Get();
+    if (result.ok()) {
+      ++ranked_ok;
+    } else {
+      ASSERT_TRUE(result.status().IsUnavailable())
+          << result.status().ToString();
+      ++ranked_shed;
+    }
+  }
+  EXPECT_GT(ranked_ok, 0u);
+  EXPECT_GT(ranked_shed, 0u);
+
+  (*scored)->WaitIdle();
+  const EngineStats ranked_stats = (*scored)->Stats();
+  EXPECT_EQ(ranked_stats.total_shed, ranked_shed);
+  EXPECT_LE(ranked_stats.max_peak_queue_depth, options.max_queue_depth);
+  EXPECT_EQ(ranked_stats.max_queue_depth, 0u);
+  EXPECT_TRUE((*scored)->ExecuteTopK(query, 10).ok());
 }
 
 // Batch coalescing: with the worker pinned slow, a burst of one popular
