@@ -69,10 +69,8 @@ Status IrHintPerf::Build(const Corpus& corpus) {
 }
 
 Status IrHintPerf::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (!built_) return Status::InvalidArgument("index not built");
-  if (object.interval.st > object.interval.end) {
-    return Status::InvalidArgument("interval start exceeds end");
-  }
   if (object.interval.end >=
       std::numeric_limits<StoredTime>::max()) {
     return Status::OutOfDomain("interval exceeds 32-bit stored endpoints");
@@ -150,8 +148,8 @@ void IrHintPerf::Query(const irhint::Query& query, std::vector<ObjectId>* out) c
               return a < b;
             });
 
-  DivisionQueryScratch scratch;
-  scratch.count = counters_.enabled();
+  DivisionQueryScratch& scratch =
+      DivisionQueryScratch::ForQuery(counters_.enabled());
   if (query.interval.st <= mapper_.domain_end()) {
   TraversalState state(m_, mapper_.Cell(query.interval.st),
                        mapper_.Cell(query.interval.end));

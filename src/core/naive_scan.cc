@@ -15,6 +15,7 @@ Status NaiveScan::Build(const Corpus& corpus) {
 }
 
 Status NaiveScan::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (slot_of_.contains(object.id)) {
     return Status::AlreadyExists("duplicate object id");
   }

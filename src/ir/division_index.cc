@@ -22,7 +22,48 @@ inline bool PassesMode(const Posting& p, const Interval& q, CheckMode mode) {
   return true;
 }
 
+// Narrows `candidates` (sorted, tombstone-free; they may live in
+// scratch->candidates, never in scratch->next) by each list of `elements`
+// in turn through the intersection kernel, and appends the survivors to
+// out. The last intersection writes straight into out.
+template <typename Entry>
+void IntersectElements(const DivisionPostings<Entry>& postings,
+                       std::span<const ObjectId> candidates,
+                       std::span<const ElementId> elements,
+                       DivisionQueryScratch* scratch,
+                       std::vector<ObjectId>* out) {
+  if (elements.empty()) {
+    out->insert(out->end(), candidates.begin(), candidates.end());
+    return;
+  }
+  std::vector<ObjectId>* spare = &scratch->next;
+  std::vector<ObjectId>* other = &scratch->candidates;
+  for (size_t i = 0; i < elements.size(); ++i) {
+    if (candidates.empty()) return;
+    const SplitList<Entry> list = postings.List(elements[i]);
+    if (list.size() == 0) return;
+    const bool last = i + 1 == elements.size();
+    std::vector<ObjectId>* dst = last ? out : spare;
+    if (!last) dst->clear();
+    const size_t scanned =
+        IntersectCandidates(candidates, list, postings.CanProbe(), dst);
+    if (scratch->count) {
+      ++scratch->counters.intersections_performed;
+      scratch->counters.postings_scanned += scanned;
+    }
+    candidates = *dst;
+    std::swap(spare, other);
+  }
+}
+
 }  // namespace
+
+DivisionQueryScratch& DivisionQueryScratch::ForQuery(bool count) {
+  thread_local DivisionQueryScratch scratch;
+  scratch.count = count;
+  scratch.counters = QueryCounters{};
+  return scratch;
+}
 
 void DivisionTif::Add(ObjectId id, const Interval& interval,
                       const std::vector<ElementId>& elements) {
@@ -38,96 +79,32 @@ void DivisionTif::Query(const std::vector<ElementId>& elements,
   // Temporal filter over the least (globally) frequent element's list.
   std::vector<ObjectId>& candidates = scratch->candidates;
   candidates.clear();
-  postings_.ScanList(elements[0], [&](const Posting& p) {
+  const SplitList<Posting> first = postings_.List(elements[0]);
+  first.ForEachLive([&](const Posting& p) {
     if (PassesMode(p, q, mode)) candidates.push_back(p.id);
-    return true;
   });
   if (scratch->count) {
     ++scratch->counters.divisions_visited;
-    scratch->counters.postings_scanned += postings_.ListLength(elements[0]);
+    scratch->counters.postings_scanned += first.size();
     scratch->counters.candidates_verified += candidates.size();
   }
-  if (candidates.empty()) return;
-
-  // Intersect with the remaining lists of this division: linear merge for
-  // comparably sized inputs, binary probing when the list dwarfs the
-  // candidate set (Algorithm 1 in merge fashion vs Algorithm 3's binary
-  // search, chosen adaptively).
-  std::vector<ObjectId>& next = scratch->next;
-  for (size_t i = 1; i < elements.size(); ++i) {
-    if (!postings_.HasElement(elements[i])) return;
-    next.clear();
-    const bool probe = postings_.CanProbe() &&
-                       postings_.ListLength(elements[i]) >
-                           16 * candidates.size();
-    if (scratch->count) {
-      ++scratch->counters.intersections_performed;
-      scratch->counters.postings_scanned +=
-          probe ? candidates.size() : postings_.ListLength(elements[i]);
-    }
-    if (probe) {
-      for (ObjectId id : candidates) {
-        if (postings_.Probe(elements[i], id) != nullptr) next.push_back(id);
-      }
-    } else {
-      size_t c = 0;
-      postings_.ScanList(elements[i], [&](const Posting& p) {
-        while (c < candidates.size() && candidates[c] < p.id) ++c;
-        if (c == candidates.size()) return false;
-        if (candidates[c] == p.id) {
-          next.push_back(p.id);
-          ++c;
-        }
-        return true;
-      });
-    }
-    candidates.swap(next);
-    if (candidates.empty()) return;
-  }
-  out->insert(out->end(), candidates.begin(), candidates.end());
+  // Intersect with the remaining lists of this division (Algorithm 1 in
+  // merge fashion, or Algorithm 3's binary search, or a candidate bitmap;
+  // the kernel chooses per list).
+  IntersectElements(postings_, candidates,
+                    std::span<const ElementId>(elements).subspan(1), scratch,
+                    out);
 }
 
 void DivisionIdIndex::Intersect(const std::vector<ObjectId>& sorted_candidates,
                                 const std::vector<ElementId>& elements,
                                 DivisionQueryScratch* scratch,
                                 std::vector<ObjectId>* out) const {
-  std::vector<ObjectId>& candidates = scratch->candidates;
-  candidates.assign(sorted_candidates.begin(), sorted_candidates.end());
   if (scratch->count) {
     ++scratch->counters.divisions_visited;
-    scratch->counters.candidates_verified += candidates.size();
+    scratch->counters.candidates_verified += sorted_candidates.size();
   }
-  std::vector<ObjectId>& next = scratch->next;
-  for (ElementId e : elements) {
-    if (candidates.empty()) return;
-    if (!postings_.HasElement(e)) return;
-    next.clear();
-    const bool probe = postings_.CanProbe() &&
-                       postings_.ListLength(e) > 16 * candidates.size();
-    if (scratch->count) {
-      ++scratch->counters.intersections_performed;
-      scratch->counters.postings_scanned +=
-          probe ? candidates.size() : postings_.ListLength(e);
-    }
-    if (probe) {
-      for (ObjectId id : candidates) {
-        if (postings_.Probe(e, id) != nullptr) next.push_back(id);
-      }
-    } else {
-      size_t c = 0;
-      postings_.ScanList(e, [&](const IdEntry& entry) {
-        while (c < candidates.size() && candidates[c] < entry.id) ++c;
-        if (c == candidates.size()) return false;
-        if (candidates[c] == entry.id) {
-          next.push_back(entry.id);
-          ++c;
-        }
-        return true;
-      });
-    }
-    candidates.swap(next);
-  }
-  out->insert(out->end(), candidates.begin(), candidates.end());
+  IntersectElements(postings_, sorted_candidates, elements, scratch, out);
 }
 
 void DivisionIdIndex::IntersectLists(const std::vector<ElementId>& elements,
@@ -135,46 +112,16 @@ void DivisionIdIndex::IntersectLists(const std::vector<ElementId>& elements,
                                      std::vector<ObjectId>* out) const {
   std::vector<ObjectId>& candidates = scratch->candidates;
   candidates.clear();
-  postings_.ScanList(elements[0], [&](const IdEntry& entry) {
-    candidates.push_back(entry.id);
-    return true;
-  });
+  const SplitList<IdEntry> first = postings_.List(elements[0]);
+  first.ForEachLive(
+      [&](const IdEntry& entry) { candidates.push_back(entry.id); });
   if (scratch->count) {
     ++scratch->counters.divisions_visited;
-    scratch->counters.postings_scanned += postings_.ListLength(elements[0]);
+    scratch->counters.postings_scanned += first.size();
   }
-  std::vector<ObjectId>& next = scratch->next;
-  for (size_t i = 1; i < elements.size(); ++i) {
-    if (candidates.empty()) return;
-    if (!postings_.HasElement(elements[i])) return;
-    next.clear();
-    const bool probe = postings_.CanProbe() &&
-                       postings_.ListLength(elements[i]) >
-                           16 * candidates.size();
-    if (scratch->count) {
-      ++scratch->counters.intersections_performed;
-      scratch->counters.postings_scanned +=
-          probe ? candidates.size() : postings_.ListLength(elements[i]);
-    }
-    if (probe) {
-      for (ObjectId id : candidates) {
-        if (postings_.Probe(elements[i], id) != nullptr) next.push_back(id);
-      }
-    } else {
-      size_t c = 0;
-      postings_.ScanList(elements[i], [&](const IdEntry& entry) {
-        while (c < candidates.size() && candidates[c] < entry.id) ++c;
-        if (c == candidates.size()) return false;
-        if (candidates[c] == entry.id) {
-          next.push_back(entry.id);
-          ++c;
-        }
-        return true;
-      });
-    }
-    candidates.swap(next);
-  }
-  out->insert(out->end(), candidates.begin(), candidates.end());
+  IntersectElements(postings_, candidates,
+                    std::span<const ElementId>(elements).subspan(1), scratch,
+                    out);
 }
 
 }  // namespace irhint

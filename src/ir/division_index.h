@@ -20,6 +20,7 @@
 #define IRHINT_IR_DIVISION_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "core/query_counters.h"
 #include "data/object.h"
 #include "hint/traversal.h"
+#include "ir/intersect.h"
 #include "ir/postings.h"
 #include "storage/flat_array.h"
 #include "storage/snapshot_reader.h"
@@ -38,7 +40,7 @@
 namespace irhint {
 
 /// \brief CSR + delta postings storage, generic over the entry payload.
-/// Entry must expose an ObjectId `id` field (Posting or IdEntry below).
+/// Entry must expose an ObjectId `id` field (Posting or IdEntry).
 /// Keepalive for mmap-backed FlatArrays: the owning index's
 /// storage_keepalive_, one level up (irhint-view-lifetime contract).
 template <typename Entry>
@@ -122,66 +124,24 @@ class IRHINT_KEEPALIVE_EXTERNAL DivisionPostings {
     delta_lists_.clear();
   }
 
-  /// \brief Visit the id-ordered live stream of element e's postings:
-  /// core range first, then delta. fn(const Entry&) returning false stops.
-  template <typename Fn>
-  void ScanList(ElementId e, Fn&& fn) const {
+  /// \brief Element e's postings (tombstones included): the core range,
+  /// then the delta list. Both runs are empty when e has no postings.
+  SplitList<Entry> List(ElementId e) const {
+    SplitList<Entry> list;
     const size_t pos = KeyPosition(e);
     if (pos != kNotFound) {
-      for (uint32_t i = offsets_[pos]; i < offsets_[pos + 1]; ++i) {
-        if (postings_[i].id == kTombstoneId) continue;
-        if (!fn(postings_[i])) return;
-      }
+      list.core = std::span<const Entry>(postings_.data() + offsets_[pos],
+                                         offsets_[pos + 1] - offsets_[pos]);
     }
     if (const uint32_t* slot = delta_slot_.find(e)) {
-      for (const Entry& entry : delta_lists_[*slot]) {
-        if (entry.id == kTombstoneId) continue;
-        if (!fn(entry)) return;
-      }
+      list.delta = delta_lists_[*slot];
     }
-  }
-
-  /// \brief True iff element e has any (possibly tombstoned) postings.
-  bool HasElement(ElementId e) const {
-    return KeyPosition(e) != kNotFound || delta_slot_.find(e) != nullptr;
-  }
-
-  /// \brief Number of postings stored for element e (incl. tombstones).
-  size_t ListLength(ElementId e) const {
-    size_t n = 0;
-    const size_t pos = KeyPosition(e);
-    if (pos != kNotFound) n += offsets_[pos + 1] - offsets_[pos];
-    if (const uint32_t* slot = delta_slot_.find(e)) {
-      n += delta_lists_[*slot].size();
-    }
-    return n;
+    return list;
   }
 
   /// \brief True while no tombstones exist, i.e. the id order inside core
   /// ranges and delta lists is intact and binary probing is sound.
   bool CanProbe() const { return num_list_tombstones_ == 0; }
-
-  /// \brief Binary-probe element e's postings for `id` (requires
-  /// CanProbe()). Returns the entry or nullptr.
-  const Entry* Probe(ElementId e, ObjectId id) const {
-    const size_t pos = KeyPosition(e);
-    if (pos != kNotFound) {
-      const Entry* begin = postings_.data() + offsets_[pos];
-      const Entry* end = postings_.data() + offsets_[pos + 1];
-      const Entry* it = std::lower_bound(
-          begin, end, id,
-          [](const Entry& entry, ObjectId v) { return entry.id < v; });
-      if (it != end && it->id == id) return it;
-    }
-    if (const uint32_t* slot = delta_slot_.find(e)) {
-      const auto& list = delta_lists_[*slot];
-      const auto it = std::lower_bound(
-          list.begin(), list.end(), id,
-          [](const Entry& entry, ObjectId v) { return entry.id < v; });
-      if (it != list.end() && it->id == id) return &*it;
-    }
-    return nullptr;
-  }
 
   /// \brief Tombstone id's posting under each element; returns the count.
   size_t Tombstone(ObjectId id, const std::vector<ElementId>& elements) {
@@ -453,20 +413,20 @@ class IRHINT_KEEPALIVE_EXTERNAL DivisionPostings {
   size_t num_list_tombstones_ = 0;
 };
 
-/// \brief Id-only postings entry.
-struct IdEntry {
-  ObjectId id = 0;
-};
-
-/// \brief Reusable per-query scratch buffers. irHINT queries touch many
-/// small divisions; reusing these across divisions avoids one pair of heap
-/// allocations per division.
+/// \brief Reusable query scratch buffers. irHINT queries touch many small
+/// divisions; reusing these across divisions, and across the queries of one
+/// thread, avoids heap allocations per division and per query.
 struct DivisionQueryScratch {
+  /// \brief This thread's scratch, reset for a new query: the tally is
+  /// zeroed and `count` set. Buffers keep their capacity between queries.
+  static DivisionQueryScratch& ForQuery(bool count);
+
   std::vector<ObjectId> candidates;
   std::vector<ObjectId> next;
+  // The size variant's temporal candidates of one division.
+  std::vector<ObjectId> temporal;
   // Per-query work tally, filled by the division queries only when the
-  // owning index sets `count` (so disabled counters skip even the
-  // list-length lookups).
+  // owning index sets `count`.
   bool count = false;
   QueryCounters counters;
 };

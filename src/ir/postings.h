@@ -23,6 +23,11 @@ struct Posting {
 
 using PostingsList = std::vector<Posting>;
 
+/// \brief Id-only postings entry (the size variant's division index).
+struct IdEntry {
+  ObjectId id = 0;
+};
+
 /// \brief True iff the posting's interval overlaps q.
 inline bool PostingOverlaps(const Posting& p, const Interval& q) {
   return p.st <= q.end && q.st <= p.end;

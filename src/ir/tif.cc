@@ -31,9 +31,7 @@ Status TemporalInvertedFile::Build(const Corpus& corpus) {
 }
 
 Status TemporalInvertedFile::Insert(const Object& object) {
-  if (object.interval.st > object.interval.end) {
-    return Status::InvalidArgument("interval start exceeds end");
-  }
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (object.interval.end >= std::numeric_limits<StoredTime>::max()) {
     return Status::OutOfDomain("interval exceeds 32-bit stored endpoints");
   }
@@ -119,7 +117,7 @@ void TemporalInvertedFile::Query(const irhint::Query& query,
   }
   local.candidates_verified = candidates.size();
 
-  // Lines 7-8: merge-intersect with the remaining lists.
+  // Lines 7-8: intersect with the remaining lists.
   std::vector<ObjectId> next;
   for (size_t i = 1; i < elements.size() && !candidates.empty(); ++i) {
     const FlatArray<Posting>* list = List(elements[i]);
@@ -131,7 +129,8 @@ void TemporalInvertedFile::Query(const irhint::Query& query,
     ++local.intersections_performed;
     local.postings_scanned += list->size();
     next.clear();
-    IntersectMerge(candidates, list->span(), &next);
+    IntersectCandidates(candidates, SplitList<Posting>{list->span(), {}},
+                        Frequency(elements[i]) == list->size(), &next);
     candidates.swap(next);
   }
   out->swap(candidates);

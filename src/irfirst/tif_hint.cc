@@ -71,6 +71,7 @@ Status TifHint::Build(const Corpus& corpus) {
 }
 
 Status TifHint::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (!built_) return Status::InvalidArgument("index not built");
   // Intervals past the declared domain are accepted: each postings HINT
   // keeps them in its overflow store (time-expanding extension).

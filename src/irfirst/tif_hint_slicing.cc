@@ -77,6 +77,7 @@ Status TifHintSlicing::Build(const Corpus& corpus) {
 }
 
 Status TifHintSlicing::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (!built_) return Status::InvalidArgument("index not built");
   // Beyond-domain intervals go to the HINT copies' overflow stores; the
   // sliced copy clamps them into its last slice (both remain exact).

@@ -147,10 +147,8 @@ Status TifSharding::Build(const Corpus& corpus) {
 }
 
 Status TifSharding::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   if (!built_) return Status::InvalidArgument("index not built");
-  if (object.interval.st > object.interval.end) {
-    return Status::InvalidArgument("interval start exceeds end");
-  }
   if (object.interval.end >= std::numeric_limits<StoredTime>::max()) {
     return Status::OutOfDomain("interval exceeds 32-bit stored endpoints");
   }

@@ -352,6 +352,7 @@ Status ScoredIndex::TopKOracle(const irhint::Query& query, uint32_t k,
 }
 
 Status ScoredIndex::Insert(const Object& object) {
+  IRHINT_RETURN_NOT_OK(ValidateObject(object));
   IRHINT_RETURN_NOT_OK(inner_->Insert(object));
   ScoreBlockStore& store = stores_[DivisionFor(object.interval.st)];
   for (ElementId e : object.elements) store.Append(e, MakePosting(e, object));

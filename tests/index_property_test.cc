@@ -134,6 +134,10 @@ TEST_P(IndexPropertyTest, InsertThenQueryMatchesOracle) {
     ASSERT_TRUE(index->Insert(corpus.object(static_cast<ObjectId>(i))).ok())
         << index->Name() << " at " << i;
   }
+  // An element id past kElementIdLimit is refused and leaves no trace.
+  const Object hostile(static_cast<ObjectId>(corpus.size()),
+                       Interval(0, corpus.domain_end()), {0, kElementIdLimit});
+  EXPECT_TRUE(index->Insert(hostile).IsInvalidArgument()) << index->Name();
 
   std::vector<ObjectId> expected, actual;
   for (const Query& q : RandomQueries(corpus, 200, /*seed=*/6)) {

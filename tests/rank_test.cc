@@ -249,6 +249,12 @@ TEST(ScoredIndexTest, LiveInsertAndEraseKeepOracleAgreement) {
     for (size_t i = 800; i < corpus.size(); ++i) {
       ASSERT_TRUE(index->Insert(corpus.object(static_cast<ObjectId>(i))).ok());
     }
+    // An element id past kElementIdLimit is refused and leaves no trace.
+    const Object hostile(static_cast<ObjectId>(corpus.size()),
+                         Interval(0, corpus.domain_end()),
+                         {0, kElementIdLimit});
+    EXPECT_TRUE(index->Insert(hostile).IsInvalidArgument())
+        << IndexKindName(kind);
     for (size_t i = 800; i < corpus.size(); i += 3) {
       ASSERT_TRUE(index->Erase(corpus.object(static_cast<ObjectId>(i))).ok());
     }
